@@ -5,11 +5,11 @@ does one second of wall clock buy?
 
 1. **Execution floor** — the e17 fleet workload (2,000 scrubbed Cheetah
    mirrored pairs over 50 years) run twice: a baseline pinned to the
-   interpreted NumPy select path, serial, with pickled chunk transport;
-   and the optimized configuration — numba-compiled select kernel when
-   numba is installed, all available cores, shared-memory chunk
-   transport.  Both runs must produce bit-identical tallies (the
-   compiled kernel and the shm transport are pure execution changes).
+   interpreted NumPy select path, serial; and the optimized
+   configuration — numba-compiled select kernel when numba is
+   installed, all available cores on the shared worker pool.  Both runs
+   must produce bit-identical tallies (the compiled kernel and the pool
+   are pure execution changes).
    The >= 10x acceptance target applies where the optimized
    configuration can actually exist (numba importable and >= 4 cores);
    elsewhere the check degrades to a bounded no-regression floor.
@@ -75,7 +75,7 @@ YEARS = 50.0
 MISSION = YEARS * HOURS_PER_YEAR
 TARGET_RELATIVE_ERROR = 0.1
 
-#: Compiled kernel + shm + all cores must deliver this where it exists.
+#: Compiled kernel + all cores must deliver this where it exists.
 SPEEDUP_TARGET = 10.0
 #: Where it cannot exist (no numba / too few cores), the optimized
 #: configuration must at least not regress past timing noise.
@@ -87,7 +87,7 @@ CV_TRIALS_RATIO_TARGET = 5.0
 ARTIFACT = Path("BENCH_e19.json")
 
 
-def _timed_fleet(jobs, transport, fused):
+def _timed_fleet(jobs, fused):
     """Best-of-three fleet run with the select kernel pinned."""
     force_fused(fused)
     try:
@@ -97,7 +97,6 @@ def _timed_fleet(jobs, transport, fused):
                 MEMBERS,
                 seed=19,
                 jobs=jobs,
-                transport=transport,
             )
         )
     finally:
@@ -109,11 +108,9 @@ def test_bench_e19_kernel_floor(benchmark, experiment_printer):
     cores = available_cores()
 
     # --- front 1: execution floor on the e17 fleet workload ---------
-    baseline, baseline_seconds = _timed_fleet(
-        jobs=1, transport="pickle", fused=False
-    )
+    baseline, baseline_seconds = _timed_fleet(jobs=1, fused=False)
     optimized, optimized_seconds = _timed_fleet(
-        jobs=cores, transport="shm", fused=True if NUMBA_AVAILABLE else None
+        jobs=cores, fused=True if NUMBA_AVAILABLE else None
     )
     speedup = baseline_seconds / optimized_seconds
     baseline_typs = trial_years_per_second(MEMBERS, YEARS, baseline_seconds)
@@ -195,9 +192,9 @@ def test_bench_e19_kernel_floor(benchmark, experiment_printer):
     write_artifact(ARTIFACT, payload)
 
     rows = [
-        ["baseline (NumPy, pickle, 1 job)", baseline_seconds, baseline_typs],
+        ["baseline (NumPy, 1 job)", baseline_seconds, baseline_typs],
         [
-            f"optimized (numba={NUMBA_AVAILABLE}, shm, {cores} jobs)",
+            f"optimized (numba={NUMBA_AVAILABLE}, {cores} jobs)",
             optimized_seconds,
             optimized_typs,
         ],

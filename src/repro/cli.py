@@ -157,7 +157,6 @@ def _answer(args: argparse.Namespace, scenario: study.Scenario) -> str:
                 scenario,
                 jobs=getattr(args, "jobs", 1),
                 cache_dir=getattr(args, "cache_dir", None),
-                transport=getattr(args, "transport", "pickle"),
                 profile=getattr(args, "profile", False),
                 telemetry=telemetry,
             )
@@ -587,11 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
     optimize_parser.add_argument("--cache-dir", default=None,
                                  help="directory for the content-hash result cache "
                                  "(default: no cache)")
-    optimize_parser.add_argument("--transport", choices=["pickle", "shm"],
-                                 default="pickle",
-                                 help="how parallel workers return refinement "
-                                 "results: pickle through the pool pipe, or shm "
-                                 "rows written into shared memory (default: pickle)")
     optimize_parser.add_argument("--profile", action="store_true",
                                  help="record a setup/kernel/merge wall-time "
                                  "breakdown in the result details")
@@ -633,11 +627,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--cache-dir", default=None,
                        help="directory for the chunk tally cache "
                        "(default: no cache)")
-    fleet.add_argument("--transport", choices=["pickle", "shm"],
-                       default="pickle",
-                       help="how parallel workers return chunk tallies: pickle "
-                       "through the pool pipe, or shm rows written into "
-                       "shared memory (default: pickle)")
     fleet.add_argument("--profile", action="store_true",
                        help="record a setup/kernel/merge wall-time breakdown "
                        "in the result details")

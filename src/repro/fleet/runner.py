@@ -1,8 +1,8 @@
 """Chunked, parallel, cached execution of fleet timelines.
 
 The runner cuts a fleet of ``members`` archives into chunks, simulates
-each chunk on the vectorized population kernel — across a
-:class:`~concurrent.futures.ProcessPoolExecutor` when ``jobs > 1`` —
+each chunk on the vectorized population kernel — across the shared
+worker pool of :mod:`repro.parallel` when ``jobs > 1`` —
 and reduces the mergeable per-chunk tallies into one
 :class:`FleetResult` carrying the survival curve, the
 loss-fraction-by-year series, and the cumulative per-member cost
@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import time
-from concurrent.futures import ProcessPoolExecutor
+# Not used here: the pool lives in repro.parallel.  The end-to-end
+# benchmark's tracer (e2ebench/tracer.py) still patches this name on
+# both runner modules, so it stays importable from them.
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -62,12 +64,14 @@ def chunk_cache_key(
 class FleetChunkCache:
     """Directory-backed store of per-chunk fleet tallies.
 
-    One JSON file per chunk, named by its content hash; unreadable or
-    malformed entries degrade to re-simulation rather than failing the
-    run (the same contract as the optimizer's
+    One JSON file per chunk, named by its content hash and written
+    atomically; unreadable or malformed entries degrade to re-simulation
+    and failed writes to an uncached chunk, rather than failing the run
+    (the same contract as the optimizer's
     :class:`~repro.optimize.runner.ResultCache`).  The ``hits`` /
     ``misses`` / ``errors`` / ``stores`` counters make the degradation
-    observable: a corrupt entry is an ``error``, not a silent miss.
+    observable: a corrupt entry or a failed write is an ``error``, not a
+    silent miss.
     """
 
     def __init__(self, directory: Union[str, Path]) -> None:
@@ -91,7 +95,7 @@ class FleetChunkCache:
             tally = FleetTally.from_dict(
                 json.loads(path.read_text(encoding="utf-8"))
             )
-        except (ValueError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError):
             self.errors += 1
             return None, "error"
         self.hits += 1
@@ -100,11 +104,21 @@ class FleetChunkCache:
     def get(self, key: str) -> Optional[FleetTally]:
         return self.lookup(key)[0]
 
-    def put(self, key: str, tally: FleetTally) -> None:
-        self._path(key).write_text(
-            json.dumps(tally.as_dict(), sort_keys=True), encoding="utf-8"
-        )
+    def put(self, key: str, tally: FleetTally) -> str:
+        """Store ``tally`` atomically; the outcome is store or error.
+
+        A failed write (ENOSPC, EACCES, ...) is an ``error``: the run
+        keeps its computed tally, it just is not cached.
+        """
+        try:
+            parallel.write_atomic(
+                self._path(key), json.dumps(tally.as_dict(), sort_keys=True)
+            )
+        except OSError:
+            self.errors += 1
+            return "error"
         self.stores += 1
+        return "store"
 
 
 def _chunk_task(payload: Tuple[FleetTimeline, int, int, int]) -> FleetTally:
@@ -117,13 +131,6 @@ def _chunk_task(payload: Tuple[FleetTimeline, int, int, int]) -> FleetTally:
     )
 
 
-def _chunk_task_shm(payload) -> None:
-    """Shared-memory worker: write the tally row in place, return nothing."""
-    chunk_payload, spec, slot = payload
-    tally = _chunk_task(chunk_payload)
-    parallel.write_row(spec, slot, tally.as_row())
-
-
 def _chunk_task_timed(
     payload: Tuple[FleetTimeline, int, int, int]
 ) -> Tuple[FleetTally, float]:
@@ -131,26 +138,6 @@ def _chunk_task_timed(
     start = time.perf_counter()
     tally = _chunk_task(payload)
     return tally, time.perf_counter() - start
-
-
-def _chunk_task_shm_timed(payload) -> None:
-    """Telemetry-enabled shm worker: tally row plus a wall-time column.
-
-    The extra column carries the chunk's wall time as integer
-    microseconds (:func:`repro.parallel.encode_seconds`), so the int64
-    row stays homogeneous.
-    """
-    chunk_payload, spec, slot = payload
-    start = time.perf_counter()
-    tally = _chunk_task(chunk_payload)
-    elapsed = time.perf_counter() - start
-    row = np.concatenate(
-        [
-            tally.as_row(),
-            np.asarray([parallel.encode_seconds(elapsed)], dtype=np.int64),
-        ]
-    )
-    parallel.write_row(spec, slot, row)
 
 
 @dataclass
@@ -166,7 +153,8 @@ class FleetResult:
         new_chunks: chunks actually simulated this run.
         cache_hits: chunks served from the cache.
         cache_errors: corrupt or unreadable cache entries encountered
-            (each degraded to re-simulation).
+            (each degraded to re-simulation) plus entries that could not
+            be written.
     """
 
     timeline: FleetTimeline
@@ -265,7 +253,6 @@ def simulate_fleet(
     jobs: int = 1,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     cache_dir: Optional[Union[str, Path]] = None,
-    transport: str = "pickle",
 ) -> FleetResult:
     """Simulate a fleet of ``members`` archives through a timeline.
 
@@ -273,19 +260,16 @@ def simulate_fleet(
         timeline: the non-stationary plan to simulate.
         members: fleet size.
         seed: root seed; per-chunk seeds are spawned deterministically.
-        jobs: worker processes; 1 runs serially in-process.
+        jobs: worker processes on the shared pool
+            (:func:`repro.parallel.map_tasks`); 1 runs serially
+            in-process.
         chunk_size: members per chunk.
         cache_dir: directory for the chunk tally cache; ``None``
             disables caching.
-        transport: how parallel workers return their chunk tallies —
-            ``"pickle"`` through the pool's result pipe, ``"shm"`` by
-            writing fixed-width rows into a shared-memory block
-            (:mod:`repro.parallel`).  Identical results either way; the
-            serial path ignores the knob.
 
     Raises:
         ValueError: for a non-positive fleet size, chunk size or job
-            count, or an unknown transport.
+            count.
     """
     if members <= 0:
         raise ValueError("members must be positive")
@@ -293,7 +277,6 @@ def simulate_fleet(
         raise ValueError("chunk_size must be positive")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    parallel.check_transport(transport)
 
     tel = obs.current()
     timed = tel.enabled
@@ -328,78 +311,28 @@ def simulate_fleet(
             pending.append((index, (timeline, size, chunk_seed, seed)))
 
     if pending:
-        payloads = [payload for _, payload in pending]
-        chunk_seconds: List[Optional[float]] = [None] * len(pending)
-        if jobs == 1 or len(pending) == 1:
-            if timed:
-                outcomes = [_chunk_task_timed(p) for p in payloads]
-                results = [tally for tally, _ in outcomes]
-                chunk_seconds = [seconds for _, seconds in outcomes]
-            else:
-                results = [_chunk_task(payload) for payload in payloads]
-        elif transport == "shm":
-            workers = min(jobs, len(pending))
-            width = FleetTally.row_width(timeline.year_bins())
-            # One extra int64 column per row carries the worker's wall
-            # time when telemetry is on; the disabled layout is exactly
-            # the historical one.
-            buffer = parallel.SharedResultBuffer(
-                rows=len(pending),
-                width=width + 1 if timed else width,
-                dtype="int64",
-            )
-            try:
-                spec = buffer.spec()
-                shm_payloads = [
-                    (payload, spec, slot)
-                    for slot, payload in enumerate(payloads)
-                ]
-                task = _chunk_task_shm_timed if timed else _chunk_task_shm
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    # Drain the map so worker exceptions surface before
-                    # the rows are trusted.
-                    list(pool.map(task, shm_payloads))
-                rows = buffer.array()
-                if timed:
-                    results = [
-                        FleetTally.from_row(row[:width]) for row in rows
-                    ]
-                    chunk_seconds = [
-                        parallel.decode_seconds(row[width]) for row in rows
-                    ]
-                else:
-                    results = [FleetTally.from_row(row) for row in rows]
-            finally:
-                buffer.destroy()
-        else:
-            workers = min(jobs, len(pending))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                if timed:
-                    outcomes = list(pool.map(_chunk_task_timed, payloads))
-                    results = [tally for tally, _ in outcomes]
-                    chunk_seconds = [seconds for _, seconds in outcomes]
-                else:
-                    results = list(pool.map(_chunk_task, payloads))
-        for slot, ((index, payload), tally) in enumerate(
-            zip(pending, results)
-        ):
+        task = _chunk_task_timed if timed else _chunk_task
+        results = parallel.map_tasks(
+            task, [payload for _, payload in pending], jobs
+        )
+        for (index, payload), result in zip(pending, results):
+            tally, seconds = result if timed else (result, None)
             tallies[index] = tally
             if cache is not None:
-                cache.put(
+                outcome = cache.put(
                     chunk_cache_key(timeline, payload[1], seed, index), tally
                 )
                 if timed:
-                    tel.count("cache.fleet.store")
+                    tel.count(f"cache.fleet.{outcome}")
                     tel.event(
                         "cache",
                         data={
                             "scope": "fleet",
                             "chunk": index,
-                            "outcome": "store",
+                            "outcome": outcome,
                         },
                     )
-            if timed and chunk_seconds[slot] is not None:
-                seconds = chunk_seconds[slot]
+            if timed:
                 tel.observe("fleet.chunk_seconds", seconds)
                 tel.absorb(
                     obs.worker_span_snapshot("worker.fleet_chunk", seconds)

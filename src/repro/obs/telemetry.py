@@ -29,10 +29,9 @@ snapshots :meth:`~TelemetrySnapshot.merge` associatively and
 commutatively (counters sum, gauges max, histogram and span summaries
 fold field-wise) — the same contract as
 :meth:`repro.fleet.aggregate.FleetTally.merge`, property-tested the same
-way.  Workers ship snapshots back over the pickle transport, or a
-fixed-width wall-time column over the shared-memory transport
-(:func:`worker_span_snapshot` rebuilds the snapshot parent-side), and
-the parent :meth:`~Telemetry.absorb`\\ s them in any order.
+way.  Pool workers return their wall time next to each result
+(:func:`worker_span_snapshot` rebuilds a snapshot from it parent-side),
+and the parent :meth:`~Telemetry.absorb`\\ s them in any order.
 """
 
 from __future__ import annotations
@@ -170,10 +169,9 @@ class TelemetrySnapshot:
 def worker_span_snapshot(path: str, seconds: float) -> TelemetrySnapshot:
     """A snapshot holding one completed span.
 
-    The shared-memory transport ships a worker's wall time as one
-    fixed-width column; the parent rebuilds the snapshot with this
-    helper so both transports converge on the same
-    :meth:`Telemetry.absorb` merge path.
+    Pool workers return ``(result, seconds)``; the parent rebuilds
+    each worker's span with this helper and feeds it through the same
+    :meth:`Telemetry.absorb` merge path as any other snapshot.
     """
     return TelemetrySnapshot(spans={path: (1, float(seconds))})
 

@@ -4,8 +4,8 @@ The runner orchestrates the multi-fidelity pipeline end to end:
 
 1. analytically screen every candidate of a :class:`DesignSpace`,
 2. prune candidates the screen already shows to be dominated,
-3. refine the survivors with batch Monte-Carlo — in parallel across a
-   :class:`~concurrent.futures.ProcessPoolExecutor` when ``jobs > 1`` —
+3. refine the survivors with batch Monte-Carlo — in parallel across the
+   shared worker pool of :mod:`repro.parallel` when ``jobs > 1`` —
    skipping any survivor whose refinement is already in the cache,
 4. extract the CI-aware Pareto frontier from the refined evaluations.
 
@@ -22,28 +22,27 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import time
-from concurrent.futures import ProcessPoolExecutor
+# Not used here: the pool lives in repro.parallel.  The end-to-end
+# benchmark's tracer (e2ebench/tracer.py) still patches this name on
+# both runner modules, so it stays importable from them.
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
 
 from repro import obs, parallel
 from repro.optimize.evaluate import (
     DEFAULT_SCREEN_SLACK,
     CandidateEvaluation,
     EvaluationSettings,
-    SimulatedLoss,
     refine,
     screen_candidates,
     survivors_for_refinement,
 )
 from repro.optimize.frontier import pareto_frontier
 from repro.optimize.space import DesignSpace
-from repro.simulation.rng import spawn_seed
 
 
 def evaluation_cache_key(
@@ -63,12 +62,13 @@ def evaluation_cache_key(
 class ResultCache:
     """Directory-backed store of refined candidate evaluations.
 
-    Each entry is one JSON file named by the evaluation's content hash;
-    unreadable or malformed entries are treated as misses so a corrupted
-    cache degrades to re-evaluation instead of failing the run.  The
-    ``hits`` / ``misses`` / ``errors`` / ``stores`` counters make the
-    degradation observable: a corrupt entry is an ``error``, not a
-    silent miss.
+    Each entry is one JSON file named by the evaluation's content hash
+    and written atomically; unreadable or malformed entries are treated
+    as misses and failed writes leave the candidate uncached, so a
+    corrupted or full cache degrades to re-evaluation instead of failing
+    the run.  The ``hits`` / ``misses`` / ``errors`` / ``stores``
+    counters make the degradation observable: a corrupt entry or a
+    failed write is an ``error``, not a silent miss.
     """
 
     def __init__(self, directory: Union[str, Path]) -> None:
@@ -93,7 +93,7 @@ class ResultCache:
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
             evaluation = CandidateEvaluation.from_dict(payload)
-        except (ValueError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError):
             self.errors += 1
             return None, "error"
         self.hits += 1
@@ -102,11 +102,22 @@ class ResultCache:
     def get(self, key: str) -> Optional[CandidateEvaluation]:
         return self.lookup(key)[0]
 
-    def put(self, key: str, evaluation: CandidateEvaluation) -> None:
-        self._path(key).write_text(
-            json.dumps(evaluation.as_dict(), sort_keys=True), encoding="utf-8"
-        )
+    def put(self, key: str, evaluation: CandidateEvaluation) -> str:
+        """Store ``evaluation`` atomically; the outcome is store or error.
+
+        A failed write (ENOSPC, EACCES, ...) is an ``error``: the run
+        keeps its computed refinement, it just is not cached.
+        """
+        try:
+            parallel.write_atomic(
+                self._path(key),
+                json.dumps(evaluation.as_dict(), sort_keys=True),
+            )
+        except OSError:
+            self.errors += 1
+            return "error"
         self.stores += 1
+        return "store"
 
     def __len__(self) -> int:
         return len(list(self.directory.glob("*.json")))
@@ -120,54 +131,6 @@ def _refine_task(
     return refine(evaluation, settings)
 
 
-# Shared-memory row encoding of a :class:`SimulatedLoss`.  The seed is
-# *not* in the row: it is a 128-bit spawn of the root seed and the
-# candidate key, both of which the parent already holds, so it is
-# recomputed on decode.  Trial counts are exact in float64 far beyond
-# any realistic budget (2**53).
-_SIMULATED_ROW_WIDTH = 8
-_METHOD_CODES = {"standard": 0, "is": 1, "splitting": 2, "qmc": 3, "cv": 4}
-_METHOD_BY_CODE = {code: name for name, code in _METHOD_CODES.items()}
-
-
-def _simulated_row(simulated: SimulatedLoss) -> np.ndarray:
-    ess = simulated.effective_sample_size
-    return np.array(
-        [
-            simulated.mean,
-            simulated.std_error,
-            float(simulated.trials),
-            float(simulated.losses),
-            simulated.ci_low,
-            simulated.ci_high,
-            float(_METHOD_CODES[simulated.method]),
-            math.nan if ess is None else ess,
-        ]
-    )
-
-
-def _simulated_from_row(row: np.ndarray, seed: int) -> SimulatedLoss:
-    ess = float(row[7])
-    return SimulatedLoss(
-        mean=float(row[0]),
-        std_error=float(row[1]),
-        trials=int(row[2]),
-        losses=int(row[3]),
-        ci_low=float(row[4]),
-        ci_high=float(row[5]),
-        seed=seed,
-        method=_METHOD_BY_CODE[int(row[6])],
-        effective_sample_size=None if math.isnan(ess) else ess,
-    )
-
-
-def _refine_task_shm(payload) -> None:
-    """Shared-memory worker: write the refinement row in place."""
-    refine_payload, spec, slot = payload
-    result = _refine_task(refine_payload)
-    parallel.write_row(spec, slot, _simulated_row(result.simulated))
-
-
 def _refine_task_timed(
     payload: Tuple[CandidateEvaluation, EvaluationSettings]
 ) -> Tuple[CandidateEvaluation, float]:
@@ -175,20 +138,6 @@ def _refine_task_timed(
     start = time.perf_counter()
     result = _refine_task(payload)
     return result, time.perf_counter() - start
-
-
-def _refine_task_shm_timed(payload) -> None:
-    """Telemetry-enabled shm worker: row plus a wall-time column.
-
-    The float64 buffer stores the worker's wall time in seconds directly
-    as the extra column.
-    """
-    refine_payload, spec, slot = payload
-    start = time.perf_counter()
-    result = _refine_task(refine_payload)
-    elapsed = time.perf_counter() - start
-    row = np.concatenate([_simulated_row(result.simulated), [elapsed]])
-    parallel.write_row(spec, slot, row)
 
 
 @dataclass
@@ -206,7 +155,8 @@ class OptimizationResult:
         new_evaluations: refinements actually computed this run.
         cache_hits: refinements served from the result cache.
         cache_errors: corrupt or unreadable cache entries encountered
-            (each degraded to re-evaluation).
+            (each degraded to re-evaluation) plus entries that could not
+            be written.
     """
 
     space: DesignSpace
@@ -252,19 +202,16 @@ def refine_evaluations(
     settings: EvaluationSettings,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    transport: str = "pickle",
 ) -> Tuple[List[CandidateEvaluation], int, int]:
     """Refine the survivors, reusing cached results where possible.
 
     Returns ``(refined, new_evaluations, cache_hits)`` with ``refined``
-    in the same order as ``survivors``.  ``transport="shm"`` has
-    parallel workers write their refinement rows into a shared-memory
-    block instead of pickling evaluations back (identical results; see
-    :mod:`repro.parallel`).
+    in the same order as ``survivors``.  With ``jobs > 1`` the pending
+    refinements run on the shared worker pool
+    (:func:`repro.parallel.map_tasks`).
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    parallel.check_transport(transport)
     tel = obs.current()
     timed = tel.enabled
     refined: Dict[int, CandidateEvaluation] = {}
@@ -297,80 +244,28 @@ def refine_evaluations(
             pending.append((index, evaluation))
 
     if pending:
-        payloads = [(evaluation, settings) for _, evaluation in pending]
-        refine_seconds: List[Optional[float]] = [None] * len(pending)
-        if jobs == 1 or len(pending) == 1:
-            if timed:
-                outcomes = [_refine_task_timed(p) for p in payloads]
-                results = [result for result, _ in outcomes]
-                refine_seconds = [seconds for _, seconds in outcomes]
-            else:
-                results = [_refine_task(payload) for payload in payloads]
-        elif transport == "shm":
-            workers = min(jobs, len(pending))
-            # One extra float64 column per row carries the worker's wall
-            # time when telemetry is on; the disabled layout is exactly
-            # the historical one.
-            buffer = parallel.SharedResultBuffer(
-                rows=len(pending),
-                width=_SIMULATED_ROW_WIDTH + 1 if timed else _SIMULATED_ROW_WIDTH,
-            )
-            try:
-                spec = buffer.spec()
-                shm_payloads = [
-                    (payload, spec, slot)
-                    for slot, payload in enumerate(payloads)
-                ]
-                task = _refine_task_shm_timed if timed else _refine_task_shm
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    list(pool.map(task, shm_payloads))
-                rows = buffer.array()
-                # Rebuild each evaluation from the parent's own screened
-                # copy (same recipe as a cache hit); only the simulated
-                # refinement crossed process boundaries.
-                results = [
-                    replace(
-                        evaluation,
-                        simulated=_simulated_from_row(
-                            rows[slot][:_SIMULATED_ROW_WIDTH],
-                            spawn_seed(
-                                settings.seed, evaluation.candidate.key()
-                            ),
-                        ),
-                    )
-                    for slot, (_, evaluation) in enumerate(pending)
-                ]
-                if timed:
-                    refine_seconds = [
-                        float(row[_SIMULATED_ROW_WIDTH]) for row in rows
-                    ]
-            finally:
-                buffer.destroy()
-        else:
-            workers = min(jobs, len(pending))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                if timed:
-                    outcomes = list(pool.map(_refine_task_timed, payloads))
-                    results = [result for result, _ in outcomes]
-                    refine_seconds = [seconds for _, seconds in outcomes]
-                else:
-                    results = list(pool.map(_refine_task, payloads))
-        for slot, ((index, _), result) in enumerate(zip(pending, results)):
+        task = _refine_task_timed if timed else _refine_task
+        results = parallel.map_tasks(
+            task, [(evaluation, settings) for _, evaluation in pending], jobs
+        )
+        for (index, _), outcome in zip(pending, results):
+            result, seconds = outcome if timed else (outcome, None)
             refined[index] = result
             if cache is not None:
-                cache.put(evaluation_cache_key(result, settings), result)
+                stored = cache.put(
+                    evaluation_cache_key(result, settings), result
+                )
                 if timed:
-                    tel.count("cache.optimize.store")
+                    tel.count(f"cache.optimize.{stored}")
                     tel.event(
                         "cache",
                         data={
                             "scope": "optimize",
                             "candidate": result.candidate.key(),
-                            "outcome": "store",
+                            "outcome": stored,
                         },
                     )
-            if timed and refine_seconds[slot] is not None:
-                seconds = refine_seconds[slot]
+            if timed:
                 tel.observe("optimize.refine_seconds", seconds)
                 tel.absorb(
                     obs.worker_span_snapshot("worker.refine", seconds)
@@ -395,7 +290,6 @@ def optimize(
     cache_dir: Optional[Union[str, Path]] = None,
     slack: float = DEFAULT_SCREEN_SLACK,
     refine_survivors: bool = True,
-    transport: str = "pickle",
 ) -> OptimizationResult:
     """Search a design space and return its cost–reliability frontier.
 
@@ -411,8 +305,6 @@ def optimize(
             :func:`~repro.optimize.evaluate.survivors_for_refinement`).
         refine_survivors: skip Monte-Carlo entirely when ``False`` — the
             frontier is then extracted from the analytic screen alone.
-        transport: chunk-result transport for parallel refinement
-            (``"pickle"`` or ``"shm"``; see :mod:`repro.parallel`).
     """
     settings = settings or EvaluationSettings()
     tel = obs.current()
@@ -432,7 +324,6 @@ def optimize(
                 settings,
                 jobs=jobs,
                 cache=cache,
-                transport=transport,
             )
     else:
         refined, new_evaluations, cache_hits = list(survivors), 0, 0

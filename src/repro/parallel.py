@@ -1,111 +1,140 @@
-"""Zero-copy result transport for the worker-pool runners.
+"""Shared plumbing for the fleet and optimizer runners.
 
-The fleet and optimizer runners fan chunks out over a
-:class:`~concurrent.futures.ProcessPoolExecutor`.  With the default
-``transport="pickle"`` every worker pickles its result object back
-through the pool's result pipe; with ``transport="shm"`` the parent
-allocates one :mod:`multiprocessing.shared_memory` block of fixed-width
-numeric rows and each worker writes its slot *in place*, so the only
-thing crossing the pipe is ``None``.  Both runners' results are already
-flat numeric summaries (a :class:`~repro.fleet.aggregate.FleetTally`, a
-:class:`~repro.optimize.evaluate.SimulatedLoss`), which is what makes a
-fixed-width row encoding lossless: the parent reconstructs the objects
-from the rows in the same chunk order the pickled path would have used,
-so the merged result is identical — the equality property the transport
-tests pin down.
+**One reused worker pool.**  Both runners fan pickled tasks out with
+:func:`map_tasks`, which runs them on a single, lazily created
+:class:`~concurrent.futures.ProcessPoolExecutor` that lives for the
+whole process: the first parallel call forks the workers and every later
+call reuses them, so a frontier after a fleet (or a hundred fleets in a
+row) pays the fork once instead of per call.  The pool is keyed by the
+worker count: it is rebuilt only when a call asks for a different
+``jobs``, and it is shut down at interpreter exit.  A call with
+``jobs == 1`` or a single task runs in-process and never touches it.
 
-The block lives exactly as long as one runner call: the parent creates
-it, the workers attach by name, and the parent unlinks it in a
-``finally`` so no segment leaks even when a worker raises.
+A worker that dies (killed, out of memory, a crashing extension) breaks
+the executor.  The call that hits it raises
+:class:`~concurrent.futures.process.BrokenProcessPool`, the broken pool
+is discarded, and the next call forks a fresh one — no call waits on a
+dead worker.  With telemetry on, ``parallel.pool.created`` and
+``parallel.pool.reused`` count how often a call forked a pool and how
+often it found one warm.
+
+**Atomic cache entries.**  :func:`write_atomic` is the write both
+runners' on-disk caches use: a temporary file plus :func:`os.replace`,
+so a reader sees either the old entry or the complete new one, never a
+torn write.
 """
 
 from __future__ import annotations
 
-from multiprocessing import shared_memory
-from typing import Tuple
+import atexit
+import contextlib
+import os
+import threading
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
+from typing import Callable, List, Optional, Sequence, TypeVar
 
-import numpy as np
+from repro import obs
 
-#: Recognised chunk-result transports.
-TRANSPORTS: Tuple[str, ...] = ("pickle", "shm")
+T = TypeVar("T")
+R = TypeVar("R")
 
-#: Resolution of the integer wall-time encoding below.
-_MICROSECONDS_PER_SECOND = 1_000_000
+_lock = threading.Lock()
+_pool: Optional[ProcessPoolExecutor] = None
+_pool_jobs = 0
 
 
-def encode_seconds(seconds: float) -> int:
-    """Encode a wall time as integer microseconds.
+def pool(jobs: int) -> ProcessPoolExecutor:
+    """The process-wide worker pool with ``jobs`` workers.
 
-    Telemetry-enabled shared-memory runs append one wall-time column to
-    each worker's result row; on ``int64`` buffers (the fleet tallies)
-    the time rides as microseconds, exact far beyond any chunk duration.
+    Created on first use and reused by every later call with the same
+    ``jobs``; a different worker count shuts the old pool down and
+    forks a new one.
     """
-    return int(round(seconds * _MICROSECONDS_PER_SECOND))
+    global _pool, _pool_jobs
+    tel = obs.current()
+    with _lock:
+        if _pool is not None and _pool_jobs == jobs:
+            tel.count("parallel.pool.reused")
+            return _pool
+        stale = _pool
+        _pool = fresh = ProcessPoolExecutor(max_workers=jobs)
+        _pool_jobs = jobs
+    tel.count("parallel.pool.created")
+    if stale is not None:
+        stale.shutdown(wait=True)
+    return fresh
 
 
-def decode_seconds(value: float) -> float:
-    """Invert :func:`encode_seconds`."""
-    return float(value) / _MICROSECONDS_PER_SECOND
+def _discard(executor: ProcessPoolExecutor) -> None:
+    """Drop ``executor`` if it is still the shared pool, and stop it."""
+    global _pool
+    with _lock:
+        if _pool is executor:
+            _pool = None
+    executor.shutdown(wait=False, cancel_futures=True)
 
 
-def check_transport(transport: str) -> None:
-    """Validate a ``transport`` knob."""
-    if transport not in TRANSPORTS:
-        raise ValueError(
-            f"unknown transport {transport!r}; expected one of {TRANSPORTS}"
-        )
+def shutdown() -> None:
+    """Stop the shared pool, if any (registered to run at exit)."""
+    global _pool
+    with _lock:
+        executor, _pool = _pool, None
+    if executor is not None:
+        executor.shutdown(wait=True)
 
 
-class SharedResultBuffer:
-    """A parent-owned ``(rows, width)`` matrix in shared memory.
+def _forget_in_child() -> None:
+    # A forked child inherits the parent's executor object but none of
+    # its threads or workers; submitting to it would wait forever.
+    global _pool, _lock
+    _pool = None
+    _lock = threading.Lock()
 
-    The parent creates the buffer, ships ``spec()`` to the workers with
-    their slot index, and reads :meth:`array` after the pool drains;
-    :meth:`destroy` closes and unlinks the segment.
+
+atexit.register(shutdown)
+os.register_at_fork(after_in_child=_forget_in_child)
+
+
+def map_tasks(
+    fn: Callable[[T], R], payloads: Sequence[T], jobs: int
+) -> List[R]:
+    """``[fn(p) for p in payloads]``, on the shared pool when it pays.
+
+    Runs in-process when ``jobs == 1`` or there is a single payload;
+    otherwise maps over :func:`pool` and returns the results in payload
+    order.  ``fn`` and the payloads must pickle.
+
+    Raises:
+        BrokenProcessPool: a worker died mid-call; the pool has been
+            discarded and the next call starts a fresh one.
     """
-
-    def __init__(self, rows: int, width: int, dtype: str = "float64") -> None:
-        if rows < 1 or width < 1:
-            raise ValueError("rows and width must be positive")
-        self.rows = rows
-        self.width = width
-        self.dtype = np.dtype(dtype)
-        self._shm = shared_memory.SharedMemory(
-            create=True, size=rows * width * self.dtype.itemsize
-        )
-        self.array()[:] = 0
-
-    def spec(self) -> Tuple[str, int, int, str]:
-        """Picklable handle a worker needs to attach: (name, rows, width, dtype)."""
-        return (self._shm.name, self.rows, self.width, self.dtype.name)
-
-    def array(self) -> np.ndarray:
-        """The live view over the shared block (valid until destroy)."""
-        return np.ndarray(
-            (self.rows, self.width), dtype=self.dtype, buffer=self._shm.buf
-        )
-
-    def destroy(self) -> None:
-        """Release the segment (close this handle and unlink the block)."""
-        self._shm.close()
-        self._shm.unlink()
-
-
-def write_row(
-    spec: Tuple[str, int, int, str], index: int, values: np.ndarray
-) -> None:
-    """Worker-side: write one result row into the parent's buffer."""
-    name, rows, width, dtype = spec
-    values = np.asarray(values)
-    if values.shape != (width,):
-        raise ValueError(
-            f"row has {values.shape} values; buffer rows are ({width},)"
-        )
-    segment = shared_memory.SharedMemory(name=name)
+    if jobs == 1 or len(payloads) == 1:
+        return [fn(payload) for payload in payloads]
+    executor = pool(jobs)
     try:
-        array = np.ndarray(
-            (rows, width), dtype=np.dtype(dtype), buffer=segment.buf
-        )
-        array[index] = values
-    finally:
-        segment.close()
+        return list(executor.map(fn, payloads))
+    except BrokenProcessPool as exc:
+        _discard(executor)
+        raise BrokenProcessPool(
+            "a worker process died; the pool was discarded and the next "
+            "call starts a fresh one"
+        ) from exc
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` via a temporary file and ``os.replace``.
+
+    Raises:
+        OSError: the write failed (ENOSPC, EACCES, ...); the temporary
+            file has been removed and ``path`` is untouched.
+    """
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise

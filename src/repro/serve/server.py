@@ -114,7 +114,20 @@ async def _handle_connection(
                     ":"
                 )
                 headers[name.strip().lower()] = value.strip()
-            length = int(headers.get("content-length") or 0)
+            try:
+                length = int(headers.get("content-length") or 0)
+            except ValueError:
+                length = -1
+            if length < 0:
+                # The body's extent is unknown, so the stream cannot be
+                # resynchronised: answer and close.
+                payload = json.dumps(
+                    {"error": "invalid Content-Length header"}
+                ).encode("utf-8")
+                writer.write(_head(400, _JSON, len(payload), keep_alive=False))
+                writer.write(payload)
+                await writer.drain()
+                break
             body = await reader.readexactly(length) if length else b""
             keep_alive = (
                 version == "HTTP/1.1"

@@ -75,7 +75,6 @@ def run(
     scenario: Scenario,
     jobs: int = 1,
     cache_dir: Optional[Union[str, Path]] = None,
-    transport: str = "pickle",
     profile: bool = False,
     telemetry: Optional[obs.Telemetry] = None,
 ) -> StudyResult:
@@ -89,8 +88,6 @@ def run(
             estimators run in-process regardless.
         cache_dir: directory for the content-hash result caches of the
             parallel engines; ``None`` disables caching.
-        transport: chunk-result transport for the parallel engines
-            (``"pickle"`` or ``"shm"``; see :mod:`repro.parallel`).
         profile: record a setup/kernel/merge wall-time breakdown in
             ``result.details["profile"]``; off by default so serialised
             results are byte-stable.
@@ -129,7 +126,6 @@ def run(
                     "seed": scenario.policy.seed,
                     "content_hash": scenario_hash,
                     "jobs": jobs,
-                    "transport": transport,
                 },
             )
         if scenario.question in ("mttdl", "loss_probability"):
@@ -137,9 +133,9 @@ def run(
         elif scenario.question == "sweep":
             result = _run_sweep(scenario)
         elif scenario.question == "frontier":
-            result = _run_frontier(scenario, jobs, cache_dir, transport)
+            result = _run_frontier(scenario, jobs, cache_dir)
         else:
-            result = _run_fleet(scenario, jobs, cache_dir, transport)
+            result = _run_fleet(scenario, jobs, cache_dir)
     # Deduplicate before surfacing: adaptive pilot loops can trip the
     # same warning chunk after chunk, and repeating it adds noise, not
     # information.  First occurrence order is preserved.
@@ -609,7 +605,6 @@ def _run_frontier(
     scenario: Scenario,
     jobs: int,
     cache_dir: Optional[Union[str, Path]],
-    transport: str = "pickle",
 ) -> StudyResult:
     tel = obs.current()
     policy = scenario.policy
@@ -647,7 +642,6 @@ def _run_frontier(
             cache_dir=cache_dir,
             slack=scenario.slack,
             refine_survivors=refine,
-            transport=transport,
         )
         recommended = None
         if scenario.budget is not None or scenario.target_loss is not None:
@@ -702,7 +696,6 @@ def _run_fleet(
     scenario: Scenario,
     jobs: int,
     cache_dir: Optional[Union[str, Path]],
-    transport: str = "pickle",
 ) -> StudyResult:
     tel = obs.current()
     with tel.span("setup"):
@@ -716,7 +709,6 @@ def _run_fleet(
             jobs=jobs,
             chunk_size=scenario.chunk_size,
             cache_dir=cache_dir,
-            transport=transport,
         )
     with tel.span("merge"):
         estimate = outcome.loss_estimate()

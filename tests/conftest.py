@@ -1,5 +1,9 @@
 """Shared fixtures for the test suite."""
 
+import errno
+import os
+from pathlib import Path
+
 import pytest
 
 from repro.core.parameters import FaultModel
@@ -66,3 +70,28 @@ def fast_model() -> FaultModel:
 def fast_model_factory():
     """The :func:`make_fast_model` factory, for tests needing variants."""
     return make_fast_model
+
+
+@pytest.fixture(params=["partial_write", "replace"])
+def failing_cache_write(request, monkeypatch):
+    """Make every cache-entry write fail with ENOSPC: part-way through
+    the temporary file, or at the final ``os.replace``."""
+
+    def disk_full():
+        return OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    if request.param == "partial_write":
+        write_text = Path.write_text
+
+        def partial(self, data, *args, **kwargs):
+            write_text(self, data[: len(data) // 2], *args, **kwargs)
+            raise disk_full()
+
+        monkeypatch.setattr(Path, "write_text", partial)
+    else:
+
+        def replace(*args, **kwargs):
+            raise disk_full()
+
+        monkeypatch.setattr(os, "replace", replace)
+    return request.param

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.parameters import FaultModel
 from repro.fleet.runner import (
     FleetChunkCache,
@@ -97,6 +98,22 @@ class TestCache:
         assert redo.new_chunks == 1
         assert redo.tally.as_dict() == run.tally.as_dict()
 
+    def test_failed_write_keeps_the_answer(
+        self, tmp_path, failing_cache_write
+    ):
+        plain = simulate_fleet(timeline(), members=600, seed=5, chunk_size=200)
+        with obs.session(obs.Telemetry()) as tel:
+            cached = simulate_fleet(
+                timeline(), members=600, seed=5, chunk_size=200,
+                cache_dir=tmp_path,
+            )
+        # The answer survives a full disk; nothing half-written remains.
+        assert cached.tally.as_dict() == plain.tally.as_dict()
+        assert cached.cache_errors == 3
+        assert tel.counters["cache.fleet.error"] == 3
+        assert "cache.fleet.store" not in tel.counters
+        assert list(tmp_path.iterdir()) == []
+
     def test_key_depends_on_timeline_content(self):
         base = timeline()
         changed = FleetTimeline(
@@ -168,43 +185,18 @@ class TestFleetResult:
         )
 
 
-class TestTransport:
-    def test_shm_equals_pickle_equals_serial(self):
+class TestSharedPool:
+    def test_pooled_equals_serial(self):
         serial = simulate_fleet(
             timeline(), members=800, seed=5, jobs=1, chunk_size=200
         )
-        pickled = simulate_fleet(
-            timeline(),
-            members=800,
-            seed=5,
-            jobs=2,
-            chunk_size=200,
-            transport="pickle",
+        first = simulate_fleet(
+            timeline(), members=800, seed=5, jobs=2, chunk_size=200
         )
-        shm = simulate_fleet(
-            timeline(),
-            members=800,
-            seed=5,
-            jobs=2,
-            chunk_size=200,
-            transport="shm",
+        reused = simulate_fleet(
+            timeline(), members=800, seed=5, jobs=2, chunk_size=200
         )
-        # The transport moves bits, it does not touch the physics: all
-        # three tallies must be bit-identical.
-        assert serial.tally.as_dict() == pickled.tally.as_dict()
-        assert serial.tally.as_dict() == shm.tally.as_dict()
-
-    def test_shm_serial_falls_back_cleanly(self):
-        # jobs=1 never allocates a shared buffer; the request is still
-        # legal and bit-identical.
-        serial = simulate_fleet(timeline(), members=400, seed=7, jobs=1)
-        shm = simulate_fleet(
-            timeline(), members=400, seed=7, jobs=1, transport="shm"
-        )
-        assert serial.tally.as_dict() == shm.tally.as_dict()
-
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ValueError, match="transport"):
-            simulate_fleet(
-                timeline(), members=10, seed=0, transport="carrier-pigeon"
-            )
+        # The pool moves work, it does not touch the physics: serial,
+        # first-pool and reused-pool tallies must be bit-identical.
+        assert serial.tally.as_dict() == first.tally.as_dict()
+        assert serial.tally.as_dict() == reused.tally.as_dict()

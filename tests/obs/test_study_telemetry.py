@@ -76,15 +76,9 @@ class TestObservationDoesNotPerturb:
         observed = run(scenario_factory(), telemetry=obs.Telemetry())
         assert _headline(observed) == _headline(plain)
 
-    @pytest.mark.parametrize("transport", ["pickle", "shm"])
-    def test_fleet_workers_identical_across_transports(self, transport):
-        plain = run(_fleet_scenario(), jobs=2, transport=transport)
-        observed = run(
-            _fleet_scenario(),
-            jobs=2,
-            transport=transport,
-            telemetry=obs.Telemetry(),
-        )
+    def test_pooled_fleet_identical_with_telemetry_on(self):
+        plain = run(_fleet_scenario(), jobs=2)
+        observed = run(_fleet_scenario(), jobs=2, telemetry=obs.Telemetry())
         assert _headline(observed) == _headline(plain)
 
     def test_session_always_restored(self):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.optimize.evaluate import EvaluationSettings
 from repro.optimize.runner import (
     ResultCache,
@@ -107,6 +108,20 @@ class TestCache:
         assert second.cache_hits == 0
         assert second.new_evaluations == len(first.survivors)
 
+    def test_failed_write_keeps_the_answer(
+        self, tmp_path, failing_cache_write
+    ):
+        plain = optimize(SMALL_SPACE, FAST_SETTINGS)
+        with obs.session(obs.Telemetry()) as tel:
+            cached = optimize(SMALL_SPACE, FAST_SETTINGS, cache_dir=tmp_path)
+        # The answer survives a full disk; nothing half-written remains.
+        assert cached.refined == plain.refined
+        assert cached.frontier == plain.frontier
+        assert cached.cache_errors == len(plain.survivors)
+        assert tel.counters["cache.optimize.error"] == len(plain.survivors)
+        assert "cache.optimize.store" not in tel.counters
+        assert list(tmp_path.iterdir()) == []
+
     def test_cache_key_depends_on_candidate_and_settings(self):
         settings = FAST_SETTINGS
         evaluations = optimize(SMALL_SPACE, settings, refine_survivors=False).survivors
@@ -135,18 +150,12 @@ class TestCache:
         assert "candidate" in payload and "simulated" in payload
 
 
-class TestTransport:
-    def test_shm_equals_pickle_equals_serial(self):
+class TestSharedPool:
+    def test_pooled_equals_serial(self):
         serial = optimize(SMALL_SPACE, FAST_SETTINGS, jobs=1)
-        pickled = optimize(
-            SMALL_SPACE, FAST_SETTINGS, jobs=2, transport="pickle"
-        )
-        shm = optimize(SMALL_SPACE, FAST_SETTINGS, jobs=2, transport="shm")
-        # The transport only moves the simulated rows; every refined
-        # evaluation must come back bit-identical.
-        assert serial.refined == pickled.refined
-        assert serial.refined == shm.refined
-
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ValueError, match="transport"):
-            optimize(SMALL_SPACE, FAST_SETTINGS, jobs=2, transport="smoke")
+        first = optimize(SMALL_SPACE, FAST_SETTINGS, jobs=2)
+        reused = optimize(SMALL_SPACE, FAST_SETTINGS, jobs=2)
+        # Serial, first-pool and reused-pool refinements must come back
+        # bit-identical.
+        assert serial.refined == first.refined
+        assert serial.refined == reused.refined

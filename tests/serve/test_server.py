@@ -137,6 +137,31 @@ def test_unknown_route_is_404():
     assert b"no route" in payload
 
 
+@pytest.mark.parametrize("length", ["abc", "-5"])
+def test_bad_content_length_is_a_400_then_close(length):
+    async def body(client, call, service):
+        reader, writer = await asyncio.open_connection(
+            client.host, client.port
+        )
+        writer.write(
+            (
+                "POST /query HTTP/1.1\r\nHost: test\r\n"
+                f"Content-Length: {length}\r\n\r\n{{}}"
+            ).encode("latin-1")
+        )
+        await writer.drain()
+        # read() returns only at EOF: the server must close after the 400.
+        response = await asyncio.wait_for(reader.read(), timeout=30)
+        writer.close()
+        return response
+
+    response = with_server(body)
+    head, _, payload = response.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400")
+    assert b"Connection: close" in head
+    assert "Content-Length" in json.loads(payload)["error"]
+
+
 def test_stream_query_yields_progress_then_result():
     events = []
 
